@@ -7,27 +7,50 @@
 
 use crate::ast::{Clause, SourceProgram};
 use crate::ops::OpTable;
-use crate::symbol::sym;
+use crate::symbol::{sym, Symbol};
 use crate::term::Term;
 use crate::token::atom_needs_quotes;
 use std::fmt::{self, Write as _};
+use std::sync::OnceLock;
+
+/// The standard operator table, built once: every clause the printer
+/// renders consults it.
+fn standard_ops() -> &'static OpTable {
+    static OPS: OnceLock<OpTable> = OnceLock::new();
+    OPS.get_or_init(OpTable::standard)
+}
+
+/// The symbols the printer tests on every structure and list cell,
+/// interned once.
+struct Names {
+    dot: Symbol,
+    nil: Symbol,
+    curly: Symbol,
+}
+
+fn names() -> &'static Names {
+    static NAMES: OnceLock<Names> = OnceLock::new();
+    NAMES.get_or_init(|| Names {
+        dot: sym("."),
+        nil: sym("[]"),
+        curly: sym("{}"),
+    })
+}
 
 /// Formats `term` into `f`. `var_names[i]` names `Var(i)`; out-of-range
 /// variables print as `_G<i>` (matching the paper's `_NNNN` style output).
 pub fn fmt_term(f: &mut fmt::Formatter<'_>, term: &Term, var_names: &[String]) -> fmt::Result {
-    let ops = OpTable::standard();
     let mut out = String::new();
     // 1201: a standalone term is unambiguous, so operator atoms print bare.
-    write_term(&mut out, term, 1201, &ops, var_names);
+    write_term(&mut out, term, 1201, standard_ops(), var_names);
     f.write_str(&out)
 }
 
 /// Renders a term to a string with the standard operator table.
 pub fn term_to_string(term: &Term, var_names: &[String]) -> String {
-    let ops = OpTable::standard();
     let mut out = String::new();
     // 1201: see `fmt_term`.
-    write_term(&mut out, term, 1201, &ops, var_names);
+    write_term(&mut out, term, 1201, standard_ops(), var_names);
     out
 }
 
@@ -92,12 +115,12 @@ fn write_term(out: &mut String, term: &Term, max_prec: u32, ops: &OpTable, var_n
         }
         Term::Struct(name, args) => {
             // List syntax
-            if *name == sym(".") && args.len() == 2 {
+            if *name == names().dot && args.len() == 2 {
                 write_list(out, term, ops, var_names);
                 return;
             }
             // {}/1
-            if *name == sym("{}") && args.len() == 1 {
+            if *name == names().curly && args.len() == 1 {
                 out.push('{');
                 write_term(out, &args[0], 1200, ops, var_names);
                 out.push('}');
@@ -175,7 +198,7 @@ fn write_list(out: &mut String, term: &Term, ops: &OpTable, var_names: &[String]
     let mut first = true;
     loop {
         match cur {
-            Term::Struct(dot, args) if *dot == sym(".") && args.len() == 2 => {
+            Term::Struct(dot, args) if *dot == names().dot && args.len() == 2 => {
                 if !first {
                     out.push_str(", ");
                 }
@@ -183,7 +206,7 @@ fn write_list(out: &mut String, term: &Term, ops: &OpTable, var_names: &[String]
                 write_term(out, &args[0], 999, ops, var_names);
                 cur = &args[1];
             }
-            Term::Atom(nil) if *nil == sym("[]") => break,
+            Term::Atom(nil) if *nil == names().nil => break,
             tail => {
                 out.push('|');
                 write_term(out, tail, 999, ops, var_names);
@@ -196,13 +219,13 @@ fn write_list(out: &mut String, term: &Term, ops: &OpTable, var_names: &[String]
 
 /// Renders a clause, with `.` terminator but no trailing newline.
 pub fn clause_to_string(clause: &Clause) -> String {
-    let ops = OpTable::standard();
+    let ops = standard_ops();
     let mut out = String::new();
-    write_term(&mut out, &clause.head, 999, &ops, &clause.var_names);
+    write_term(&mut out, &clause.head, 999, ops, &clause.var_names);
     if !clause.is_fact() {
         out.push_str(" :- ");
         let body_term = clause.body.to_term();
-        write_term(&mut out, &body_term, 1199, &ops, &clause.var_names);
+        write_term(&mut out, &body_term, 1199, ops, &clause.var_names);
     }
     out.push('.');
     out

@@ -5,7 +5,9 @@
 //! term comparison, database lookup, and call-graph keys are integer
 //! operations. Interned strings are leaked once per distinct name, which is
 //! bounded by the number of distinct atoms in the session and lets
-//! [`Symbol::as_str`] hand out `&'static str` without locking on reads.
+//! [`Symbol::as_str`] hand out `&'static str` that outlives the interner
+//! lock. Every lookup, `as_str` included, still takes that lock: hot
+//! loops should compare symbols, not their text.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -50,7 +52,9 @@ impl Symbol {
         Symbol(id)
     }
 
-    /// The interned text of this symbol.
+    /// The interned text of this symbol. Takes the interner's `RwLock`
+    /// for reading on every call; the returned text itself is never
+    /// freed, so it outlives the guard.
     pub fn as_str(self) -> &'static str {
         let guard = interner().read().expect("interner poisoned");
         guard.names[self.0 as usize]

@@ -203,3 +203,49 @@ fn report_display_is_readable() {
     assert!(text.contains("mode (-,-)"));
     assert!(text.contains("facts only"));
 }
+
+/// `p(X) :- g0(X, Y0), …, g{n-1}(X, Y{n-1}).` where the last goal is the
+/// cheapest generator of `X`: a search would run it first.
+fn wide_clause_program(width: usize) -> String {
+    let body: Vec<String> = (0..width).map(|i| format!("g{i}(X, Y{i})")).collect();
+    let mut src = format!("p(X) :- {}.\n", body.join(", "));
+    for i in 0..width - 1 {
+        for x in ["a", "b", "c"] {
+            src.push_str(&format!("g{i}({x}, {x}{i}).\n"));
+        }
+    }
+    src.push_str(&format!("g{}(a, last).\n", width - 1));
+    src
+}
+
+#[test]
+fn blocks_wider_than_the_search_mask_keep_their_source_order() {
+    let clause_of_p = |text: &str| {
+        text.lines()
+            .find(|l| l.starts_with("p("))
+            .expect("p/1 is emitted")
+            .to_string()
+    };
+    // A narrow block of the same shape is reordered: in the unbound mode
+    // the cheap last goal leads.
+    let narrow = wide_clause_program(6);
+    let out = reorder::reorder_source(&narrow, &ReorderConfig::default()).unwrap();
+    assert!(out.text.contains("p_u(X) :- g5(X, Y5), g0(X, Y0)"));
+
+    // Seventy goals overflow the search's placed-goal mask: the block
+    // keeps its source order, unsearched, instead of panicking on the
+    // shift (debug) or aliasing goal 64 to goal 0 (release).
+    let wide = wide_clause_program(70);
+    let out = reorder::reorder_source(&wide, &ReorderConfig::default()).unwrap();
+    let source_clause = clause_of_p(&wide);
+    assert_eq!(clause_of_p(&out.text), source_clause.trim_end());
+    let p = out
+        .report
+        .predicate(PredId::new("p", 1))
+        .expect("p/1 is reordered");
+    assert!(!p.modes.is_empty());
+    for mode in &p.modes {
+        assert_eq!(mode.explored, 1, "{}: the block was searched", mode.mode);
+        assert_eq!(mode.goal_orders, vec![(0..70).collect::<Vec<_>>()]);
+    }
+}
